@@ -3,7 +3,8 @@
      validate_stats stats [--pipelined] FILE
        FILE is a --stats-json document (schema "aerodrome-stats/1");
        with --pipelined every successful file entry must also carry the
-       ring-buffer counters.
+       ring-buffer counters (a pipelined run of binary traces; text
+       traces are never pipelined).
 
      validate_stats trace FILE
        FILE is a --trace-out Chrome trace-event document.

@@ -23,6 +23,15 @@ let read_trace path =
       Format.eprintf "%s: %a@." path Traces.Parser.pp_error e;
       exit 2
 
+(* The core count behind the --jobs default and the over-budget
+   warning, read in this one place: the RAPID_CORES environment
+   variable (a positive integer) overrides the runtime's estimate, so a
+   test can pin the host shape. *)
+let available_cores =
+  match Option.bind (Sys.getenv_opt "RAPID_CORES") int_of_string_opt with
+  | Some n when n >= 1 -> n
+  | _ -> Domain.recommended_domain_count ()
+
 (* --shards execution mode.  [Steal] is the work-stealing scheduler
    (DESIGN.md §18): one machine-wide domain budget (--jobs) owns both
    the file fan-out and the intra-file micro-chunks.  [Static n] is the
@@ -95,7 +104,7 @@ let check_cmd =
   let jobs =
     Arg.(
       value
-      & opt int (Domain.recommended_domain_count ())
+      & opt int available_cores
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "The machine-wide domain budget (default: the number of \
@@ -198,10 +207,11 @@ let check_cmd =
       value & flag
       & info [ "pipelined" ]
           ~doc:
-            "Overlap trace ingestion (read, decode, intern) with checking: \
+            "Overlap binary trace ingestion (read, decode) with checking: \
              a producer domain streams event batches through a bounded \
-             ring buffer to the checker.  Verdicts are identical to the \
-             sequential stream.")
+             ring buffer to the checker.  Text traces, decoded whole \
+             before checking, run sequentially.  Verdicts are identical \
+             to the sequential stream.")
   in
   let prefilter =
     Arg.(
@@ -355,7 +365,7 @@ let check_cmd =
            chunk and keep the sequential per-file path *)
         if packed then Steal else Static 1
     in
-    let cores = Domain.recommended_domain_count () in
+    let cores = available_cores in
     (* one consolidated warning on the unified domain budget: in
        stealing mode the scheduler owns every domain and --jobs is the
        whole budget; in static mode the worst case is the larger axis
@@ -706,6 +716,13 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check"
+       ~envs:
+         [
+           Cmd.Env.info "RAPID_CORES"
+             ~doc:
+               "Core count assumed for the $(b,--jobs) default and the \
+                over-budget warning, instead of the runtime's estimate.";
+         ]
        ~doc:
          "Check trace files for conflict-serializability violations (exit \
           code: 0 all serializable, 1 violation, 2 unreadable/malformed \

@@ -153,7 +153,7 @@ let flight_finish_sharded flight checker ~source ~threads ~locks ~vars
    [reclaim] selects the checkers' state-lifetime policy (installed
    ambiently around checker creation, see {!Aerodrome.Reclaim}): with a
    last-use oracle — computed from the materialized trace, read from a
-   v2 binary footer, or built by the text parser's interning pass —
+   v2 binary footer, or built by the text decoder's one pass —
    variables are released exactly at their final access; without one,
    streaming runs fall back to the inactivity heuristic. *)
 
@@ -171,8 +171,8 @@ let policy ~reclaim oracle =
    [prefilter] inserts a {!Traces.Prefilter} between ingestion and the
    checker, dropping events that provably cannot change the verdict.
    [Exact] wants whole-trace accessor statistics ({!Traces.Varstats}) —
-   from a materialized trace, a v3 binary footer, the text parser's
-   interning pass, or a dedicated pre-scan — and [Auto] applies the
+   from a materialized trace, a v3 binary footer, the text decoder's
+   one pass, or a dedicated pre-scan — and [Auto] applies the
    exact mode when the statistics come for free and otherwise runs
    unfiltered: the online mode's buffering costs more than it saves on
    checker-rate workloads (BENCH_2026-08-05 measured it at 0.74x), so
@@ -566,14 +566,18 @@ let run_binary_file ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
 
 (* --- packed ingestion ---
 
-   The default path for binary inputs: {!Traces.Binfmt.fold_packed}
-   mmaps the file and decodes each record into one packed int word
-   ({!Traces.Packed}), fed to the checker's [feed_packed] entry — no
-   per-event heap allocation between the file and the vector-clock
-   work.  The exact-mode prefilter runs on the packed words too, so
-   elided events are never materialized.  The boxed [run_binary_file]
-   remains the reference implementation: verdicts, violation indices
-   and [events_fed] are differential-tested identical. *)
+   The path for every text input and the default for binary ones:
+   each event is one packed int word ({!Traces.Packed}), fed to the
+   checker's [feed_packed] entry — no per-event heap allocation between
+   the file and the vector-clock work.  Binary files are mmapped and
+   decoded by {!Traces.Binfmt.fold_packed}; text files are scanned once
+   by {!Traces.Parser.decode_file} into an arena, which also yields the
+   last-use oracle and the accessor statistics.  The exact-mode
+   prefilter runs on the packed words too, so elided events are never
+   materialized (only an explicit online prefilter unpacks them).  The
+   boxed [run_binary_file] remains the reference implementation:
+   verdicts, violation indices and [events_fed] are differential-tested
+   identical. *)
 
 let packable ~prefilter (h : Traces.Binfmt.header) =
   Traces.Packed.fits ~threads:h.Traces.Binfmt.threads
@@ -582,77 +586,101 @@ let packable ~prefilter (h : Traces.Binfmt.header) =
      the boxed path rather than unpack/repack every event *)
   && prefilter <> Online
 
-let run_packed_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight
-    (module C : Aerodrome.Checker.S) path (header : Traces.Binfmt.header) =
+(* The sequential packed loop.  [ingest feed] pushes every word of the
+   source through [feed].  The timer starts at [started] when given
+   (text: before the decode, so it covers ingestion as the binary
+   timer covers its mmap decode), else right before [ingest]. *)
+let check_packed ?timeout ?heartbeat ~total ~reclaim ~prefilter ?flight
+    ~last_use ~stats ?started (module C : Aerodrome.Checker.S) ~source
+    ~threads ~locks ~vars ingest =
+  let st =
+    Aerodrome.Reclaim.with_policy (policy ~reclaim last_use) (fun () ->
+        C.create ~threads ~locks ~vars)
+  in
+  let pf = Option.map Prefilter.create (prefilter_mode ~prefilter ~stats) in
+  let sample_heap = heap_sampler () in
+  let fl = flight_recorder flight ~threads ~locks ~vars in
+  arm_heartbeat heartbeat ~total;
+  let started =
+    match started with Some t -> t | None -> Unix.gettimeofday ()
+  in
+  let deadline = Option.map (fun b -> started +. b) timeout in
+  let timed_out = ref false in
+  let viol_at = ref (-1.0) in
+  let fed = ref 0 in
+  let feed_one w =
+    (match fl with
+    | Some f when !viol_at < 0.0 -> Flight.note f !fed w
+    | _ -> ());
+    (match C.feed_packed st w with
+    | Some _ -> note_violation viol_at ~started
+    | None -> ());
+    incr fed;
+    if !fed land (check_interval - 1) = 0 then begin
+      tick heartbeat !fed;
+      sample_heap ();
+      match deadline with
+      | Some d when Unix.gettimeofday () > d ->
+        timed_out := true;
+        raise Exit
+      | _ -> ()
+    end
+  in
+  (try
+     ingest
+       (match pf with
+       | None -> feed_one
+       | Some p -> fun w -> Prefilter.feed_packed p w feed_one)
+   with Exit -> ());
+  (match pf with
+  | None -> ()
+  | Some p -> ( try Prefilter.finish_packed p feed_one with Exit -> ()));
+  sample_heap ();
+  let outcome = if !timed_out then Timed_out else Verdict (C.violation st) in
+  {
+    checker = C.name;
+    outcome;
+    seconds = Unix.gettimeofday () -. started;
+    events_fed = !fed;
+    metrics =
+      runner_entries ?file_bytes:(file_size source) viol_at
+      @ flight_finish flight fl
+          (module C : Aerodrome.Checker.S)
+          ~source ~threads ~locks ~vars outcome;
+  }
+
+let run_packed_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight checker
+    path (header : Traces.Binfmt.header) =
   collected ~file:path (fun () ->
       let last_use =
         if reclaim then Traces.Binfmt.read_last_use path else None
       in
       let stats = binary_stats ~prefilter path in
-      let st =
-        Aerodrome.Reclaim.with_policy (policy ~reclaim last_use) (fun () ->
-            C.create ~threads:header.Traces.Binfmt.threads
-              ~locks:header.Traces.Binfmt.locks
-              ~vars:header.Traces.Binfmt.vars)
-      in
-      let pf = Option.map Prefilter.create (prefilter_mode ~prefilter ~stats) in
-      let sample_heap = heap_sampler () in
-      let fl =
-        flight_recorder flight ~threads:header.Traces.Binfmt.threads
-          ~locks:header.Traces.Binfmt.locks ~vars:header.Traces.Binfmt.vars
-      in
-      arm_heartbeat heartbeat ~total:(Some header.Traces.Binfmt.events);
+      check_packed ?timeout ?heartbeat
+        ~total:(Some header.Traces.Binfmt.events)
+        ~reclaim ~prefilter ?flight ~last_use ~stats checker ~source:path
+        ~threads:header.Traces.Binfmt.threads
+        ~locks:header.Traces.Binfmt.locks ~vars:header.Traces.Binfmt.vars
+        (fun feed ->
+          ignore (Traces.Binfmt.fold_packed path ~init:() ~f:(fun () w -> feed w))))
+
+(* Text: one scan into the arena, then the same loop.  The heartbeat
+   is armed without a total, so text progress lines carry no ETA
+   (test/obs.t pins their format). *)
+let run_text_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight checker
+    path =
+  collected ~file:path (fun () ->
       let started = Unix.gettimeofday () in
-      let deadline = Option.map (fun b -> started +. b) timeout in
-      let timed_out = ref false in
-      let viol_at = ref (-1.0) in
-      let fed = ref 0 in
-      let feed_one w =
-        (match fl with
-        | Some f when !viol_at < 0.0 -> Flight.note f !fed w
-        | _ -> ());
-        (match C.feed_packed st w with
-        | Some _ -> note_violation viol_at ~started
-        | None -> ());
-        incr fed;
-        if !fed land (check_interval - 1) = 0 then begin
-          tick heartbeat !fed;
-          sample_heap ();
-          match deadline with
-          | Some d when Unix.gettimeofday () > d ->
-            timed_out := true;
-            raise Exit
-          | _ -> ()
-        end
+      let d =
+        Traces.Parser.decode_file ~last_use:reclaim
+          ~stats:(match prefilter with Exact | Auto -> true | Off | Online -> false)
+          path
       in
-      (try
-         ignore
-           (Traces.Binfmt.fold_packed path ~init:()
-              ~f:
-                (match pf with
-                | None -> fun () w -> feed_one w
-                | Some p -> fun () w -> Prefilter.feed_packed p w feed_one))
-       with Exit -> ());
-      (match pf with
-      | None -> ()
-      | Some p -> ( try Prefilter.finish_packed p feed_one with Exit -> ()));
-      sample_heap ();
-      let outcome =
-        if !timed_out then Timed_out else Verdict (C.violation st)
-      in
-      {
-        checker = C.name;
-        outcome;
-        seconds = Unix.gettimeofday () -. started;
-        events_fed = !fed;
-        metrics =
-          runner_entries ?file_bytes:(file_size path) viol_at
-          @ flight_finish flight fl
-              (module C : Aerodrome.Checker.S)
-              ~source:path ~threads:header.Traces.Binfmt.threads
-              ~locks:header.Traces.Binfmt.locks
-              ~vars:header.Traces.Binfmt.vars outcome;
-      })
+      check_packed ?timeout ?heartbeat ~total:None ~reclaim ~prefilter ?flight
+        ~last_use:d.Traces.Parser.last_use ~stats:d.Traces.Parser.stats
+        ~started checker ~source:path ~threads:d.Traces.Parser.threads
+        ~locks:d.Traces.Parser.locks ~vars:d.Traces.Parser.vars
+        (Packed.Arena.iter d.Traces.Parser.arena))
 
 (* Sharded counterpart of [run_packed_file]: ingest (and filter) into
    an arena first, then fan chunk checkers out over it.  The timer
@@ -712,122 +740,24 @@ let run_stream_seq ?timeout ?heartbeat ?(reclaim = true) ?(prefilter = Off)
         (module C) path
   end
   else
-    collected ~file:path (fun () ->
-        (* text: Parser.fold_file announces the domains (pass 1) before any
-           event reaches the checker (pass 2), so no Trace.t is built.
-           The interning pass hands over the last-use oracle — and, when
-           filtering, the accessor statistics — for free. *)
-        let st = ref None in
-        let started = ref 0.0 in
-        let deadline = ref None in
-        let timed_out = ref false in
-        let viol_at = ref (-1.0) in
-        let fed = ref 0 in
-        let oracle = ref None in
-        let stats = ref None in
-        let pf = ref None in
-        let sample_heap = ref (fun () -> ()) in
-        let fl = ref None in
-        let domains = ref None in
-        let feed_one s e =
-          (match !fl with
-          | Some f when !viol_at < 0.0 ->
-            Flight.note f !fed (Packed.of_event e)
-          | _ -> ());
-          (match C.feed s e with
-          | Some _ -> note_violation viol_at ~started:!started
-          | None -> ());
-          incr fed;
-          if !fed land (check_interval - 1) = 0 then begin
-            tick heartbeat !fed;
-            !sample_heap ();
-            match !deadline with
-            | Some d when Unix.gettimeofday () > d ->
-              timed_out := true;
-              raise Exit
-            | _ -> ()
-          end
-        in
-        (try
-           ignore
-             (Traces.Parser.fold_file_exn
-                ?last_use:
-                  (if reclaim then Some (fun lt -> oracle := Some lt)
-                   else None)
-                ?stats:
-                  (match prefilter with
-                  | Off | Online -> None
-                  | Exact | Auto -> Some (fun vs -> stats := Some vs))
-                path
-                ~init:(fun ~threads ~locks ~vars ->
-                  let s =
-                    Aerodrome.Reclaim.with_policy (policy ~reclaim !oracle)
-                      (fun () -> C.create ~threads ~locks ~vars)
-                  in
-                  st := Some s;
-                  domains := Some (threads, locks, vars);
-                  fl := flight_recorder flight ~threads ~locks ~vars;
-                  (match prefilter_mode ~prefilter ~stats:!stats with
-                  | None -> ()
-                  | Some mode -> pf := Some (Prefilter.create mode));
-                  sample_heap := heap_sampler ();
-                  arm_heartbeat heartbeat ~total:None;
-                  started := Unix.gettimeofday ();
-                  deadline := Option.map (fun b -> !started +. b) timeout;
-                  s)
-                ~f:(fun s e ->
-                  (match !pf with
-                  | None -> feed_one s e
-                  | Some p -> Prefilter.feed p e (feed_one s));
-                  s))
-         with Exit -> ());
-        (* end of stream: drop/flush whatever the filter still buffers and
-           publish its counters ([finish] emits nothing in practice — the
-           online mode's pending events are exactly the droppable ones) *)
-        (match !pf with
-        | None -> ()
-        | Some p ->
-          let emit e = match !st with Some s -> feed_one s e | None -> () in
-          (try Prefilter.finish p emit with Exit -> ()));
-        !sample_heap ();
-        match !st with
-        | None -> assert false (* [init] runs before the first event *)
-        | Some s ->
-          let outcome =
-            if !timed_out then Timed_out else Verdict (C.violation s)
-          in
-          let flight_metrics =
-            match !domains with
-            | Some (threads, locks, vars) ->
-              flight_finish flight !fl
-                (module C : Aerodrome.Checker.S)
-                ~source:path ~threads ~locks ~vars outcome
-            | None -> []
-          in
-          {
-            checker = C.name;
-            outcome;
-            seconds = Unix.gettimeofday () -. !started;
-            events_fed = !fed;
-            metrics =
-              runner_entries ?file_bytes:(file_size path) viol_at
-              @ flight_metrics;
-          })
+    run_text_file ?timeout ?heartbeat ~reclaim ~prefilter ?flight (module C) path
 
 (* --- pipelined ingestion ---
 
-   A producer domain reads, decodes and interns the trace file and pushes
+   A producer domain reads and decodes a binary trace file and pushes
    event batches through a bounded SPSC ring; the calling domain pops
    batches and feeds the checker, so I/O + decode overlap vector-clock
    work.  The checker sees exactly the event sequence the sequential path
-   sees, in order, so verdicts and violation indices are identical. *)
+   sees, in order, so verdicts and violation indices are identical.  Text
+   is not pipelined: its decoder must finish the pass before the domains
+   are known, so a producer would have nothing left to overlap. *)
 
 type stream_msg =
   | Domains of {
       threads : int;
       locks : int;
       vars : int;
-      events : int option;  (* total, when the format knows it upfront *)
+      events : int;
       last_use : Traces.Lifetime.t option;  (* oracle, when available *)
       stats : Varstats.t option;  (* prefilter oracle, when available *)
     }
@@ -868,76 +798,49 @@ let produce_file path ~reclaim ~prefilter ~packed ~push =
     if !fill = batch_size then flush ()
   in
   try
-    (if Traces.Binfmt.is_binary path then begin
-       let h = Traces.Binfmt.read_header path in
-       let last_use =
-         if reclaim then Traces.Binfmt.read_last_use path else None
-       in
-       let stats = binary_stats ~prefilter path in
-       push_or_stop
-         (Domains
-            {
-              threads = h.Traces.Binfmt.threads;
-              locks = h.Traces.Binfmt.locks;
-              vars = h.Traces.Binfmt.vars;
-              events = Some h.Traces.Binfmt.events;
-              last_use;
-              stats;
-            });
-       if packed && packable ~prefilter h then begin
-         (* decode straight into packed chunks; a full chunk is pushed
-            as-is (chunks are off-heap and immutable once handed over,
-            so sharing them with the consumer domain is safe) *)
-         let cw = batch_size in
-         let chunk = ref (Traces.Packed.make_chunk cw) in
-         let cfill = ref 0 in
-         let flush_packed () =
-           if !cfill > 0 then begin
-             if trace_on then
-               Obs.Chrome_trace.add_span ~cat:"ingest" ~name:"decode-batch"
-                 ~ts_us:!batch_t0
-                 ~dur_us:(Obs.now_us () -. !batch_t0)
-                 ();
-             push_or_stop (Packed_batch (!chunk, !cfill));
-             chunk := Traces.Packed.make_chunk cw;
-             cfill := 0;
-             if trace_on then batch_t0 := Obs.now_us ()
-           end
-         in
-         ignore
-           (Traces.Binfmt.fold_packed path ~init:() ~f:(fun () w ->
-                Bigarray.Array1.unsafe_set !chunk !cfill w;
-                incr cfill;
-                if !cfill = cw then flush_packed ()));
-         flush_packed ()
-       end
-       else ignore (Traces.Binfmt.fold path ~init:() ~f:feed)
-     end
-     else begin
-       (* the last-use and stats callbacks fire after pass 1, before [init] *)
-       let oracle = ref None in
-       let vstats = ref None in
-       Traces.Parser.fold_file_exn
-         ?last_use:
-           (if reclaim then Some (fun lt -> oracle := Some lt) else None)
-         ?stats:
-           (match prefilter with
-           | Off | Online -> None
-           | Exact | Auto -> Some (fun vs -> vstats := Some vs))
-         path
-         ~init:(fun ~threads ~locks ~vars ->
-           push_or_stop
-             (Domains
-                {
-                  threads;
-                  locks;
-                  vars;
-                  events = None;
-                  last_use = !oracle;
-                  stats = !vstats;
-                }))
-         ~f:feed
-     end);
+    let h = Traces.Binfmt.read_header path in
+    let last_use =
+      if reclaim then Traces.Binfmt.read_last_use path else None
+    in
+    let stats = binary_stats ~prefilter path in
+    push_or_stop
+      (Domains
+         {
+           threads = h.Traces.Binfmt.threads;
+           locks = h.Traces.Binfmt.locks;
+           vars = h.Traces.Binfmt.vars;
+           events = h.Traces.Binfmt.events;
+           last_use;
+           stats;
+         });
+    if packed && packable ~prefilter h then begin
+      (* decode straight into packed chunks; a full chunk is pushed
+         as-is (chunks are off-heap and immutable once handed over,
+         so sharing them with the consumer domain is safe) *)
+      let cw = batch_size in
+      let chunk = ref (Traces.Packed.make_chunk cw) in
+      let cfill = ref 0 in
+      let flush_packed () =
+        if !cfill > 0 then begin
+          if trace_on then
+            Obs.Chrome_trace.add_span ~cat:"ingest" ~name:"decode-batch"
+              ~ts_us:!batch_t0
+              ~dur_us:(Obs.now_us () -. !batch_t0)
+              ();
+          push_or_stop (Packed_batch (!chunk, !cfill));
+          chunk := Traces.Packed.make_chunk cw;
+          cfill := 0;
+          if trace_on then batch_t0 := Obs.now_us ()
+        end
+      in
+      ignore
+        (Traces.Binfmt.fold_packed path ~init:() ~f:(fun () w ->
+             Bigarray.Array1.unsafe_set !chunk !cfill w;
+             incr cfill;
+             if !cfill = cw then flush_packed ()));
+      flush_packed ()
+    end
+    else ignore (Traces.Binfmt.fold path ~init:() ~f:feed);
     flush ()
   with Stop_producing -> ()
 
@@ -990,7 +893,7 @@ let run_stream_pipelined ?timeout ?heartbeat ?(reclaim = true)
               in
               let sample_heap = heap_sampler () in
               let fl = flight_recorder flight ~threads ~locks ~vars in
-              arm_heartbeat heartbeat ~total:events;
+              arm_heartbeat heartbeat ~total:(Some events);
               let started = Unix.gettimeofday () in
               let deadline = Option.map (fun b -> started +. b) timeout in
               let timed_out = ref false in
@@ -1083,10 +986,14 @@ let run_stream_pipelined ?timeout ?heartbeat ?(reclaim = true)
 let run_stream ?timeout ?heartbeat ?(pipelined = false) ?(reclaim = true)
     ?(prefilter = Off) ?(packed = true) ?(shards = 1) ?shard_pool ?sched
     ?flight checker path =
-  (* the sharded path materializes the whole arena before any checking
-     starts, so a pipelined producer would have nothing to overlap with;
-     when both are requested, sharding wins *)
-  if pipelined && not (shardable ~shards ~timeout checker) then
+  (* the sharded path and the text decoder materialize the whole arena
+     before any checking starts, so a pipelined producer would have
+     nothing to overlap with; both take the sequential entry instead *)
+  if
+    pipelined
+    && (not (shardable ~shards ~timeout checker))
+    && Traces.Binfmt.is_binary path
+  then
     run_stream_pipelined ?timeout ?heartbeat ~reclaim ~prefilter ~packed
       ?flight checker path
   else
@@ -1181,14 +1088,24 @@ let run_many ?timeout ?heartbeat ?(pipelined = false) ?(reclaim = true)
       if file_jobs > 1 && List.compare_length_with paths 1 > 0 then None
       else heartbeat
     in
+    (* Files checked one after another finish the major GC cycle at each
+       file boundary: per-file checker state and decode arenas die there,
+       and a run that allocates little paces the major GC too slowly to
+       reclaim them before the next file grows the heap.  Never with
+       concurrent files, where the stop-the-world collection would stall
+       the other domains. *)
+    let boundary =
+      if file_jobs <= 1 && List.compare_length_with paths 1 > 0 then Gc.major
+      else ignore
+    in
     Parallel.Pool.run ?report:on_pool ~jobs:file_jobs
       (fun path ->
-        {
-          file = path;
-          report =
-            run_file ?timeout ?heartbeat ~pipelined ~reclaim ~prefilter
-              ~packed ~shards ?shard_pool ?flight checker path;
-        })
+        let report =
+          run_file ?timeout ?heartbeat ~pipelined ~reclaim ~prefilter ~packed
+            ~shards ?shard_pool ?flight checker path
+        in
+        boundary ();
+        { file = path; report })
       paths
 
 let violating r =

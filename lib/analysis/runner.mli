@@ -43,8 +43,8 @@
     Every run function takes [?reclaim] (default [true]), selecting the
     checkers' state-lifetime policy ({!Aerodrome.Reclaim}): when a
     last-use oracle is available — computed from a materialized trace,
-    read from a version-2 binary footer, or built by the text parser's
-    interning pass — each variable's clock state is released back to the
+    read from a version-2 binary footer, or built by the text decoder's
+    one pass — each variable's clock state is released back to the
     pool at its final access, making peak memory proportional to live
     variables; a stream with no oracle falls back to the inactivity
     heuristic (periodic epoch-collapse of cold state).  Verdicts and
@@ -74,8 +74,8 @@ type prefilter =
   | Off  (** feed the checker every event (the default) *)
   | Exact
       (** {!Traces.Prefilter.Exact}: whole-trace accessor statistics — from
-          the materialized trace, a v3 binary footer, the text parser's
-          interning pass, or (binary v1/v2) a dedicated pre-scan; a bare
+          the materialized trace, a v3 binary footer, the text decoder's
+          pass, or (binary v1/v2) a dedicated pre-scan; a bare
           event sequence with no [stats] falls back to the online mode *)
   | Online
       (** {!Traces.Prefilter.Online}: single-pass adaptive buffering.  Only
@@ -84,7 +84,7 @@ type prefilter =
           unfiltered throughput, BENCH_2026-08-05) *)
   | Auto
       (** exact when the statistics come for free (materialized trace, v3
-          binary footer, text interning pass), {e off} otherwise (binary
+          binary footer, text decoding pass), {e off} otherwise (binary
           v1/v2 files, bare sequences) — never online *)
 (** Sound trace reduction between ingestion and the checker
     ({!Traces.Prefilter}): drops thread-local, read-only, redundant and
@@ -230,10 +230,13 @@ val run_stream :
   Aerodrome.Checker.t -> string -> result
 (** Analyze a trace file without materializing it, auto-detecting the
     format: binary files stream in one pass (domains from the header),
-    text files via {!Traces.Parser.fold_file} (two passes, since the text
-    format only reveals its domains once scanned).  Peak memory is the
-    checker's state plus an I/O buffer, independent of the trace length.
-    For text traces [seconds] excludes the interning pass.
+    text files are decoded in one pass by {!Traces.Parser.decode_file}
+    into a packed arena (the text format only reveals its domains once
+    scanned), then checked from it.  Peak heap is the checker's state
+    plus an I/O buffer (and a text trace's symbol table), independent of
+    the trace length; a text trace adds 8 bytes per event off-heap.
+    [seconds] includes the decoding for both formats.  Text runs never
+    shard and ignore [packed].
 
     Binary inputs default to the {e packed} ingestion path
     ({!Traces.Binfmt.fold_packed}): the file is memory-mapped and each
@@ -246,13 +249,15 @@ val run_stream :
     Verdicts, violation indices and [events_fed] are identical on
     either path.
 
-    With [~pipelined:true] ingestion (read + decode + intern) runs on a
-    dedicated producer domain and feeds the checker through a bounded
-    ring of event batches, overlapping I/O with vector-clock work; the
-    checker consumes the identical event sequence, so the verdict,
-    violation index and [events_fed] match the sequential path exactly
-    ([seconds] measures the consumer's wall clock from checker creation
-    to verdict, so it includes any stall waiting for the producer).
+    With [~pipelined:true] a binary trace's ingestion (read + decode)
+    runs on a dedicated producer domain and feeds the checker through a
+    bounded ring of event batches, overlapping I/O with vector-clock
+    work; the checker consumes the identical event sequence, so the
+    verdict, violation index and [events_fed] match the sequential path
+    exactly ([seconds] measures the consumer's wall clock from checker
+    creation to verdict, so it includes any stall waiting for the
+    producer).  A text trace ignores [pipelined]: its decoder finishes
+    the file before the checker can be built, so it runs sequentially.
 
     [shards > 1] selects the sharded path where applicable (see
     {e Sharded checking} above); it takes precedence over [pipelined],

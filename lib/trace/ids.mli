@@ -35,7 +35,7 @@ module Vid : ID
 module Interner : sig
   (** Order-preserving string interner: the [k]-th distinct string ever
       interned receives id [k].  Used by the trace parser to map symbolic
-      names to dense ids. *)
+      names to dense ids, straight from the bytes of its read window. *)
 
   type t
 
@@ -43,6 +43,10 @@ module Interner : sig
 
   val intern : t -> string -> int
   (** Id of [name], allocating the next dense id on first sight. *)
+
+  val intern_slice : t -> Bytes.t -> int -> int -> int
+  (** [intern_slice t b lo hi] is [intern t (Bytes.sub_string b lo (hi -
+      lo))], but allocates only when the name is new. *)
 
   val find : t -> string -> int option
   (** Id of [name] if already interned. *)

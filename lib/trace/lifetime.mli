@@ -4,8 +4,8 @@
     A checker holding this oracle can release a variable's entire clock
     state the moment its last access is processed, making peak memory
     proportional to the {e live} variables instead of all of them.  The
-    index is computed for free during the text parser's interning pass
-    ({!Parser.fold_file}), stored in the binary format's optional footer
+    index is computed for free during the text decoder's one pass
+    ({!Parser.decode_file}), stored in the binary format's optional footer
     ({!Binfmt}), or derived from a materialized trace ({!of_trace}). *)
 
 type t = {

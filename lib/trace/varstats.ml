@@ -77,3 +77,18 @@ let single m = m <> 0 && m land overflow_bit = 0 && m land (m - 1) = 0
 let var_single_threaded st x = single (var_mask st x)
 let var_read_only st x = var_mask st x <> 0 && var_writes st x = 0
 let lock_single_threaded st l = single (lock_mask st l)
+
+let note_packed st w =
+  let op = Packed.opcode w in
+  if op <= Packed.op_release then begin
+    let bit = bit_of_thread (Packed.tid w) and d = Packed.target w in
+    if op <= Packed.op_write then begin
+      ensure_var st d;
+      st.var_mask.(d) <- st.var_mask.(d) lor bit;
+      if op = Packed.op_write then st.var_writes.(d) <- st.var_writes.(d) + 1
+    end
+    else begin
+      ensure_lock st d;
+      st.lock_mask.(d) <- st.lock_mask.(d) lor bit
+    end
+  end

@@ -249,8 +249,9 @@ let build_corpus dir n =
         }
       in
       let tr = Workloads.Generator.generate config in
-      (* mostly binary (the service format); every 7th as text to cover
-         the two-pass parser in the pipelined producer *)
+      (* mostly binary (the service format); every 7th as text, which
+         the pool decodes on its workers and [pipelined] runs
+         sequentially *)
       if i mod 7 = 3 then begin
         let path = Filename.concat dir (Printf.sprintf "t%03d.std" i) in
         Parser.to_file path tr;

@@ -104,6 +104,83 @@ let test_run_stream_serializable () =
       check Alcotest.bool "serializable" false (Analysis.Runner.violating r);
       check Alcotest.int "all events fed" (Trace.length tr) r.events_fed)
 
+(* --- text vs binary through the one packed loop ---
+
+   A [.std] file and the binary file written from its parse hold the
+   same packed words, so every configuration must report identically:
+   verdict, violation index, [events_fed] and every checker/prefilter
+   counter.  Only the entries that name the input's size or time are
+   excluded.  The text run must also account its lines and events in
+   the process-wide [ingest.text.*] counters. *)
+
+let process_count name =
+  List.fold_left
+    (fun acc (e : Obs.Snapshot.entry) ->
+      match e.value with
+      | Obs.Snapshot.Int n when e.name = name -> acc + n
+      | _ -> acc)
+    0
+    (Obs.Registry.snapshot Obs.Registry.global)
+
+let comparable (r : Analysis.Runner.result) =
+  List.filter
+    (fun (e : Obs.Snapshot.entry) ->
+      not
+        (List.mem e.name
+           [ "heap.peak_words"; "ingest.file_bytes"; "violation.seconds" ]))
+    (Obs.Snapshot.sorted r.metrics)
+
+let test_text_matches_binary () =
+  let was = Obs.on () in
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was then Obs.disable ())
+    (fun () ->
+      List.iter
+        (fun plan ->
+          let tr = gen_trace ~events:3_000 ~plan () in
+          tmp ".std" (fun text ->
+              tmp ".bin" (fun bin ->
+                  Parser.to_file text tr;
+                  Binfmt.write_file bin (Parser.parse_file_exn text);
+                  List.iter
+                    (fun (reclaim, prefilter, (module C : Aerodrome.Checker.S)) ->
+                      let run path =
+                        Analysis.Runner.run_stream ~reclaim ~prefilter
+                          (module C) path
+                      in
+                      let lines = process_count "ingest.text.lines_read"
+                      and parsed = process_count "ingest.text.events_parsed" in
+                      let t = run text in
+                      check Alcotest.int (C.name ^ ": lines counted")
+                        (Trace.length tr)
+                        (process_count "ingest.text.lines_read" - lines);
+                      check Alcotest.int (C.name ^ ": events counted")
+                        (Trace.length tr)
+                        (process_count "ingest.text.events_parsed" - parsed);
+                      let b = run bin in
+                      check Alcotest.(option int) (C.name ^ ": violation")
+                        (violation_index b) (violation_index t);
+                      check Alcotest.int (C.name ^ ": events_fed") b.events_fed
+                        t.events_fed;
+                      check Alcotest.bool (C.name ^ ": counters") true
+                        (comparable b = comparable t))
+                    (List.concat_map
+                       (fun reclaim ->
+                         List.concat_map
+                           (fun prefilter ->
+                             List.map
+                               (fun c -> (reclaim, prefilter, c))
+                               [
+                                 (module Aerodrome.Opt : Aerodrome.Checker.S);
+                                 (module Aerodrome.Basic);
+                                 (module Aerodrome.Reduced);
+                                 (module Velodrome.Online);
+                               ])
+                           Analysis.Runner.[ Off; Auto; Online ])
+                       [ true; false ]))))
+        [ Workloads.Generator.Atomic; Workloads.Generator.Violate_at 0.6 ])
+
 (* --- constant peak heap --- *)
 
 (* Feed a binary file through Binfmt.fold, sampling live words every 16k
@@ -167,5 +244,7 @@ let suite =
         test_run_stream_matches_run;
       Alcotest.test_case "run_stream on a serializable trace" `Quick
         test_run_stream_serializable;
+      Alcotest.test_case "text = binary, every configuration" `Quick
+        test_text_matches_binary;
       Alcotest.test_case "constant peak heap" `Quick test_constant_heap;
     ] )
